@@ -18,13 +18,13 @@
 #include "runtime/timer.hpp"
 #include "spectral/kernighan_lin.hpp"
 #include "spectral/partitioners.hpp"
+#include "support/check.hpp"
 
 namespace pigp {
 namespace {
 
 BackendResult from_igp_result(core::IgpResult result) {
   BackendResult out;
-  out.partitioning = std::move(result.partitioning);
   out.balanced = result.balanced;
   out.stages = result.stages;
   out.balance = std::move(result.balance_result);
@@ -48,19 +48,11 @@ class FlatBackend final : public Backend {
   }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    return from_igp_result(driver_.repartition(g_new, old_partitioning, n_old));
-  }
-
-  [[nodiscard]] BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
       core::Workspace& ws) override {
-    BackendResult out = from_igp_result(
+    return from_igp_result(
         driver_.repartition_in_place(g_new, partitioning, n_old, state, ws));
-    out.state_maintained = true;
-    return out;
   }
 
  private:
@@ -74,17 +66,18 @@ class MultilevelBackend final : public Backend {
   explicit MultilevelBackend(const ResolvedConfig& config)
       : options_(config.multilevel) {}
 
-  using Backend::repartition;  // keep the default state-threaded overload
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "multilevel";
   }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    return from_igp_result(
-        core::multilevel_repartition(g_new, old_partitioning, n_old, options_));
+      const graph::Graph& g_new, graph::Partitioning& partitioning,
+      graph::VertexId n_old, graph::PartitionState& state,
+      core::Workspace& /*ws*/) override {
+    core::IgpResult result =
+        core::multilevel_repartition(g_new, partitioning, n_old, options_);
+    adopt_fresh_partitioning(g_new, partitioning, state, result.partitioning);
+    return from_igp_result(std::move(result));
   }
 
  private:
@@ -101,8 +94,8 @@ class MultilevelBackend final : public Backend {
 /// failure-domain machinery: config.spmd_fault_spec wraps every rank's
 /// transport in a chaos injector, and a *retryable* TransportError (see
 /// net::FaultClass) is retried up to rebalance_retry_limit times with
-/// exponential backoff under rebalance_retry_deadline_ms.  The in-place
-/// tick runs inside its own PartitionState rollback window: each retry
+/// exponential backoff under rebalance_retry_deadline_ms.  The tick
+/// runs inside its own PartitionState rollback window: each retry
 /// replays the journal back to the tick's entry mark (O(moves), not
 /// O(V+E)), restores the entry aggregates from an O(P) snapshot, and
 /// full-resets the rank workspaces — so a retried tick starts from input
@@ -141,26 +134,6 @@ class SpmdBackend final : public Backend {
   }
 
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    const runtime::WallTimer timer;
-    RetryBudget budget = make_budget();
-    for (;;) {
-      try {
-        // This overload mutates no caller state (the engine copies the old
-        // partitioning and seeds its own state), so retry is a plain
-        // re-invocation.
-        BackendResult out = from_igp_result(core::spmd_repartition(
-            executor(), g_new, old_partitioning, n_old, options_));
-        out.timings.total = timer.seconds();
-        return out;
-      } catch (const net::TransportError& e) {
-        if (!backoff_or_give_up(e, budget)) throw;
-      }
-    }
-  }
-
-  [[nodiscard]] BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
       core::Workspace& ws) override {
@@ -185,7 +158,6 @@ class SpmdBackend final : public Backend {
             executor(), g_new, partitioning, n_old, options_, state, ws,
             rank_ws_));
         out.timings.total = timer.seconds();
-        out.state_maintained = true;
         state.end_rollback_mark(mark);
         return out;
       } catch (const net::TransportError& e) {
@@ -275,23 +247,20 @@ class ScratchBackend final : public Backend {
  public:
   explicit ScratchBackend(const ResolvedConfig& config) : config_(config) {}
 
-  using Backend::repartition;  // keep the default state-threaded overload
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "scratch";
   }
 
-  [[nodiscard]] bool incremental() const noexcept override { return false; }
-
   [[nodiscard]] BackendResult repartition(
-      const graph::Graph& g_new,
-      const graph::Partitioning& /*old_partitioning*/,
-      graph::VertexId /*n_old*/) override {
+      const graph::Graph& g_new, graph::Partitioning& partitioning,
+      graph::VertexId /*n_old*/, graph::PartitionState& state,
+      core::Workspace& /*ws*/) override {
     const runtime::WallTimer timer;
+    const graph::Partitioning fresh = partition_from_scratch(g_new, config_);
+    adopt_fresh_partitioning(g_new, partitioning, state, fresh);
     BackendResult out;
-    out.partitioning = partition_from_scratch(g_new, config_);
     out.timings.total = timer.seconds();
-    out.balanced = graph::is_balanced(g_new, out.partitioning,
+    out.balanced = graph::is_balanced(g_new, partitioning,
                                       config_.igp.balance.tolerance + 0.5);
     return out;
   }
@@ -301,6 +270,16 @@ class ScratchBackend final : public Backend {
 };
 
 }  // namespace
+
+void adopt_fresh_partitioning(const graph::Graph& g,
+                              graph::Partitioning& partitioning,
+                              graph::PartitionState& state,
+                              const graph::Partitioning& fresh) {
+  fresh.validate(g);
+  PIGP_CHECK(fresh.num_parts == partitioning.num_parts,
+             "backend changed the partition count");
+  state.transition(g, partitioning, fresh);
+}
 
 graph::Partitioning partition_from_scratch(const graph::Graph& g,
                                            const ResolvedConfig& config) {

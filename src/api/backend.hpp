@@ -3,14 +3,17 @@
 /// \file backend.hpp
 /// Pluggable repartitioning backends behind pigp::Session.
 ///
-/// A Backend turns (new graph, old partitioning, n_old) into a new
-/// partitioning plus telemetry.  The built-in backends wrap the library's
-/// drivers — the flat IGP/IGPR pipeline, the multilevel V-cycle, the SPMD
-/// message-passing engine, and the from-scratch spectral/BFS partitioners —
-/// and register under the names "igp", "igpr", "multilevel", "spmd", and
-/// "scratch" in a process-wide name-keyed registry, so the driver choice is
-/// a runtime string instead of a compile-time entry point.  External code
-/// can register additional backends through BackendRegistry::add.
+/// A Backend runs one repartition in place: it is handed the session's
+/// graph, its partitioning over the first n_old vertices, the maintained
+/// PartitionState and the session workspace, and leaves partitioning and
+/// state describing the new answer.  The built-in backends wrap the
+/// library's drivers — the flat IGP/IGPR pipeline, the multilevel V-cycle,
+/// the SPMD message-passing engine, and the from-scratch spectral/BFS
+/// partitioners — and register under the names "igp", "igpr",
+/// "multilevel", "spmd", and "scratch" in a process-wide name-keyed
+/// registry, so the driver choice is a runtime string instead of a
+/// compile-time entry point.  External code can register additional
+/// backends through BackendRegistry::add.
 
 #include <functional>
 #include <map>
@@ -28,24 +31,15 @@
 
 namespace pigp {
 
-/// Outcome of one backend run: the new partitioning plus the telemetry the
-/// flat driver reports (backends without a given phase leave its stats at
-/// their defaults).
+/// Telemetry of one backend run (backends without a given phase leave its
+/// stats at their defaults).  The answer itself is the partitioning the
+/// backend was handed.
 struct BackendResult {
-  /// The new partitioning — empty when state_maintained is true (the
-  /// in-place entry point already wrote the answer into the partitioning
-  /// it was handed).
-  graph::Partitioning partitioning;
   bool balanced = false;
   int stages = 0;  ///< balance stages used (the paper's IGP(k))
   core::BalanceResult balance;
   core::RefineStats refine;
   core::IgpTimings timings;
-  /// True when the state-threaded entry point ran in place on the
-  /// session's partitioning and PartitionState: on return both already
-  /// describe the result (result.partitioning stays empty), so the caller
-  /// must not transition the state again.
-  bool state_maintained = false;
 };
 
 /// Strategy interface implemented by every repartitioning driver.
@@ -56,42 +50,37 @@ class Backend {
   /// Registry name this backend was created under.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// False for from-scratch backends that ignore the old partitioning.
-  [[nodiscard]] virtual bool incremental() const noexcept { return true; }
-
   /// Release any backend-owned pooled memory (Session::trim_memory
   /// forwards here after releasing the session workspace).  The SPMD
   /// backend frees its per-rank workspaces; most backends own nothing.
   virtual void trim_memory() {}
 
-  /// Repartition \p g_new given \p old_partitioning over its first
-  /// \p n_old vertices (ids preserved).
-  [[nodiscard]] virtual BackendResult repartition(
-      const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old) = 0;
-
-  /// State-threaded, in-place variant — the streaming hot path.
-  /// \p partitioning covers [0, n_old) on entry and \p state describes
-  /// (g_new, partitioning) with the appended tail unassigned.  Boundary-
-  /// local backends run the whole pipeline in place off the maintained
-  /// boundary index and the session-owned \p ws buffers, leaving
-  /// partitioning/state describing the result (result.state_maintained
-  /// true, result.partitioning empty) with zero per-call O(V) allocations
-  /// once \p ws is warm.  The default forwards to the plain overload and
-  /// touches neither \p partitioning, \p state nor \p ws; the session then
-  /// folds result.partitioning in via transition().  On exception
-  /// partitioning/state may be mid-run; the session restores them from its
-  /// rollback snapshot.
+  /// Repartition \p g_new in place.  \p partitioning covers [0, n_old) on
+  /// entry (ids preserved; vertices >= n_old are new and unplaced) and
+  /// \p state describes (g_new, partitioning) with that appended tail
+  /// unassigned.  On return \p partitioning covers all of \p g_new and
+  /// \p state describes it.  Boundary-local backends run the whole
+  /// pipeline off the maintained boundary index and the session-owned
+  /// \p ws buffers, with zero per-call O(V) allocations once \p ws is
+  /// warm; backends that compute a fresh answer fold it in with
+  /// adopt_fresh_partitioning().  On exception partitioning/state may be
+  /// mid-run; the caller restores them from its rollback snapshot.
   [[nodiscard]] virtual BackendResult repartition(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
       graph::VertexId n_old, graph::PartitionState& state,
-      core::Workspace& ws) {
-    (void)state;
-    (void)ws;
-    return repartition(
-        g_new, static_cast<const graph::Partitioning&>(partitioning), n_old);
-  }
+      core::Workspace& ws) = 0;
 };
+
+/// Fold a backend's freshly computed answer \p fresh into the in-place
+/// (\p partitioning, \p state) pair: validate it against \p g (every live
+/// vertex assigned, ids in range — throws pigp::CheckError otherwise) and
+/// move exactly the vertices whose assignment differs through
+/// PartitionState::transition.  For backends that do not run in place
+/// (multilevel, scratch, external registrations).
+void adopt_fresh_partitioning(const graph::Graph& g,
+                              graph::Partitioning& partitioning,
+                              graph::PartitionState& state,
+                              const graph::Partitioning& fresh);
 
 using BackendFactory =
     std::function<std::unique_ptr<Backend>(const ResolvedConfig&)>;

@@ -9,9 +9,13 @@
 ///   3. balance load with the movement-minimizing LP (multi-stage α),
 ///   4. optionally refine the cut with the movement-maximizing LP (IGPR).
 ///
-/// The driver accepts either a pre-extended graph (new vertices appended to
-/// the old id space) or a graph::GraphDelta, in which case deletions are
-/// remapped automatically.
+/// The pipeline has one implementation, repartition_in_place: it runs on
+/// a caller-owned partitioning and the PartitionState that describes it,
+/// so every step works boundary-locally off the maintained index.  The
+/// other entry points are adapters over it — repartition() seeds a state
+/// over a copy of the old assignment (one O(V+E) rescan), and
+/// repartition_delta() first applies a graph::GraphDelta from scratch
+/// (the oracle the streaming Session is tested against).
 
 #include <cstdint>
 
@@ -21,6 +25,7 @@
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
+#include "graph/partition_state.hpp"
 
 namespace pigp::core {
 
@@ -63,28 +68,21 @@ class IncrementalPartitioner {
       : options_(options) {}
 
   /// Repartition \p g_new given the partitioning of its first \p n_old
-  /// vertices (ids preserved; no deletions).
-  ///
-  /// When \p state is non-null it must describe (g_new, old_partitioning)
-  /// — appended tail unassigned — and the whole pipeline runs boundary-
-  /// locally off it: layering seeds, balance weights and refinement
-  /// candidates come from the maintained index instead of full rescans,
-  /// and on return the state describes the returned partitioning.  With a
-  /// null state an internal one is seeded with one O(V+E) rescan, so both
-  /// paths make bit-identical decisions.  \p ws (only meaningful with a
-  /// state) reuses a caller-owned Workspace across calls.
+  /// vertices (ids preserved; no deletions).  Adapter: seeds a state over
+  /// a copy of \p old_partitioning (seed_in_place) and runs
+  /// repartition_in_place on it; result.partitioning is the answer.
   [[nodiscard]] IgpResult repartition(
       const graph::Graph& g_new, const graph::Partitioning& old_partitioning,
-      graph::VertexId n_old, graph::PartitionState* state = nullptr,
-      Workspace* ws = nullptr) const;
+      graph::VertexId n_old) const;
 
-  /// The streaming hot path: run the pipeline *in place* on
-  /// \p partitioning (covering [0, n_old) on entry, all of \p g_new on
-  /// return) and \p state, with every reusable buffer drawn from \p ws —
-  /// zero per-call O(V) allocations or copies once the workspace is warm.
-  /// Decisions are bit-identical to the copying overloads (the parity
-  /// suites pin this).  result.partitioning is left empty — the answer IS
-  /// \p partitioning.  On exception partitioning/state are left
+  /// The pipeline: run it *in place* on \p partitioning (covering
+  /// [0, n_old) on entry, all of \p g_new on return) and \p state, which
+  /// describes (g_new, partitioning) with the appended tail unassigned —
+  /// layering seeds, balance weights and refinement candidates come from
+  /// the maintained index instead of full rescans.  Every reusable buffer
+  /// is drawn from \p ws: zero per-call O(V) allocations or copies once
+  /// the workspace is warm.  result.partitioning is left empty — the
+  /// answer IS \p partitioning.  On exception partitioning/state are left
   /// inconsistent; the session rolls back from its own snapshot.
   [[nodiscard]] IgpResult repartition_in_place(
       const graph::Graph& g_new, graph::Partitioning& partitioning,
@@ -106,5 +104,14 @@ class IncrementalPartitioner {
  private:
   IgpOptions options_;
 };
+
+/// Entry setup shared by the batch adapters: \p partitioning becomes a
+/// copy of \p old_partitioning (which must cover exactly [0, n_old)) and
+/// \p state is rebuilt over (g_new, partitioning) with the appended tail
+/// unassigned — the in-place drivers' entry contract.  One O(V+E) rescan.
+void seed_in_place(const graph::Graph& g_new,
+                   const graph::Partitioning& old_partitioning,
+                   graph::VertexId n_old, graph::Partitioning& partitioning,
+                   graph::PartitionState& state);
 
 }  // namespace pigp::core

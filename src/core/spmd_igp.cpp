@@ -22,16 +22,16 @@ int owner_of(PartId q, int num_ranks) {
 }
 
 /// Balance stages + refinement on an already-extended (g_new, shared,
-/// state) triple — the SPMD engine shared by the compat and in-place entry
-/// points.  \p rank_ws holds one persistent Workspace per rank (resumable
-/// layering + gather/pack staging); \p refine_ws is the caller's workspace
-/// for the refinement pass (null = call-local buffers).
+/// state) triple — everything after step 1.  \p rank_ws holds one
+/// persistent Workspace per rank (resumable layering + gather/pack
+/// staging); \p refine_ws is the caller's workspace for the refinement
+/// pass.
 IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
                           graph::Partitioning& shared,
                           const IgpOptions& options,
                           graph::PartitionState& state,
                           std::vector<Workspace>& rank_ws,
-                          Workspace* refine_ws) {
+                          Workspace& refine_ws) {
   rank_ws.resize(static_cast<std::size_t>(executor.num_ranks()));
   const auto parts = static_cast<std::size_t>(shared.num_parts);
   const std::vector<double> targets =
@@ -227,51 +227,12 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
   // gathering is the parallel part and reuses the OpenMP implementation.
   if (options.refine) {
     result.refine_stats = refine_partitioning(g_new, shared, state,
-                                              options.refinement, refine_ws);
+                                              options.refinement, &refine_ws);
   }
   return result;
 }
 
 }  // namespace
-
-IgpResult spmd_repartition(SpmdExecutor& executor,
-                           const graph::Graph& g_new,
-                           const graph::Partitioning& old_partitioning,
-                           VertexId n_old, const IgpOptions& options,
-                           graph::PartitionState* state) {
-  std::vector<Workspace> rank_ws;
-  if (state != nullptr) {
-    Workspace ws;
-    graph::Partitioning working = old_partitioning;
-    IgpResult result = spmd_repartition_in_place(
-        executor, g_new, working, n_old, options, *state, ws, rank_ws);
-    result.partitioning = std::move(working);
-    return result;
-  }
-
-  // Step 1 runs once up front (multi-source BFS is a global operation; the
-  // CM-5 version distributes the frontier, which the OpenMP path models).
-  AssignOptions assign_options;
-  assign_options.num_threads = 1;
-  graph::Partitioning working =
-      extend_assignment(g_new, old_partitioning, n_old, assign_options);
-  graph::PartitionState local_state;
-  local_state.rebuild(g_new, working);
-  IgpResult result = run_spmd_engine(executor, g_new, working, options,
-                                     local_state, rank_ws, nullptr);
-  result.partitioning = std::move(working);
-  return result;
-}
-
-IgpResult spmd_repartition(runtime::Machine& machine,
-                           const graph::Graph& g_new,
-                           const graph::Partitioning& old_partitioning,
-                           VertexId n_old, const IgpOptions& options,
-                           graph::PartitionState* state) {
-  MachineExecutor executor(machine);
-  return spmd_repartition(executor, g_new, old_partitioning, n_old, options,
-                          state);
-}
 
 IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
                                     const graph::Graph& g_new,
@@ -287,19 +248,22 @@ IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
   extend_assignment_state(g_new, partitioning, n_old, state, ws,
                           assign_options);
   return run_spmd_engine(executor, g_new, partitioning, options, state,
-                         rank_ws, &ws);
+                         rank_ws, ws);
 }
 
-IgpResult spmd_repartition_in_place(runtime::Machine& machine,
-                                    const graph::Graph& g_new,
-                                    graph::Partitioning& partitioning,
-                                    VertexId n_old, const IgpOptions& options,
-                                    graph::PartitionState& state,
-                                    Workspace& ws,
-                                    std::vector<Workspace>& rank_ws) {
-  MachineExecutor executor(machine);
-  return spmd_repartition_in_place(executor, g_new, partitioning, n_old,
-                                   options, state, ws, rank_ws);
+IgpResult spmd_repartition(SpmdExecutor& executor,
+                           const graph::Graph& g_new,
+                           const graph::Partitioning& old_partitioning,
+                           VertexId n_old, const IgpOptions& options) {
+  graph::Partitioning working;
+  graph::PartitionState state;
+  seed_in_place(g_new, old_partitioning, n_old, working, state);
+  Workspace ws;
+  std::vector<Workspace> rank_ws;
+  IgpResult result = spmd_repartition_in_place(
+      executor, g_new, working, n_old, options, state, ws, rank_ws);
+  result.partitioning = std::move(working);
+  return result;
 }
 
 }  // namespace pigp::core

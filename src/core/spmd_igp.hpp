@@ -11,7 +11,10 @@
 /// and broadcasts the movement matrix, and each rank applies the transfers
 /// out of its owned partitions.  Results are bit-identical to the
 /// shared-memory driver — test_spmd_igp asserts it — so the communication
-/// structure is exercised without changing semantics.
+/// structure is exercised without changing semantics.  Like the flat
+/// driver it has one implementation, spmd_repartition_in_place, running on
+/// a caller-owned partitioning and PartitionState; spmd_repartition is the
+/// batch adapter that seeds both from a copy of the old assignment.
 ///
 /// An SpmdExecutor decides what carries the messages: MachineExecutor runs
 /// the ranks as threads over the runtime::Machine mailboxes (the original
@@ -53,25 +56,20 @@ class SpmdExecutor {
 /// oracle and the default backend shape.
 class MachineExecutor final : public SpmdExecutor {
  public:
-  explicit MachineExecutor(int num_ranks)
-      : owned_(std::make_unique<runtime::Machine>(num_ranks)),
-        machine_(owned_.get()) {}
-  /// Borrow an existing machine (the Machine& compatibility entry points).
-  explicit MachineExecutor(runtime::Machine& machine) : machine_(&machine) {}
+  explicit MachineExecutor(int num_ranks) : machine_(num_ranks) {}
 
   [[nodiscard]] int num_ranks() const noexcept override {
-    return machine_->num_ranks();
+    return machine_.num_ranks();
   }
   void run(const std::function<void(net::Transport&)>& body) override {
-    machine_->run([&body](runtime::RankContext& ctx) {
+    machine_.run([&body](runtime::RankContext& ctx) {
       net::InProcessTransport transport(ctx);
       body(transport);
     });
   }
 
  private:
-  std::unique_ptr<runtime::Machine> owned_;
-  runtime::Machine* machine_;
+  runtime::Machine machine_;
 };
 
 /// Ranks as threads speaking real TCP over loopback sockets — the whole
@@ -121,54 +119,39 @@ class FaultInjectingExecutor final : public SpmdExecutor {
   std::shared_ptr<net::FaultScript> script_;
 };
 
-/// Run the full IGP/IGPR pipeline on \p executor's ranks.  The graph is
+/// Run the full IGP/IGPR pipeline in place on \p executor's ranks,
+/// mirroring IncrementalPartitioner::repartition_in_place: \p partitioning
+/// covers [0, n_old) on entry and \p state describes it with the appended
+/// tail unassigned; on return both describe the result (result.partitioning
+/// is left empty — the answer IS \p partitioning).  The graph is
 /// replicated (the CM-5 implementation also kept the small meshes resident
 /// per node); partition ownership is round-robin: rank r owns partitions q
 /// with q % num_ranks == r.
 ///
-/// Boundary-local like the flat driver: each rank seeds its owned
-/// partitions' layering from the shared PartitionState's boundary index
-/// and grows it depth-capped; the deepen-vs-decide handshake is a
+/// Step 1 is one global pass through \p ws.  Then each rank seeds its
+/// owned partitions' layering from the shared PartitionState's boundary
+/// index and grows it depth-capped; the deepen-vs-decide handshake is a
 /// broadcast from rank 0, so every rank retries the α ladder on the same
 /// lazily-deepened ε capacities and the decisions stay bit-identical to
 /// the shared-memory pipeline.  Selected transfers are gathered and
 /// applied by rank 0 through the state (the writes were always trivial —
-/// layering and selection are the parallel work).  \p state follows the
-/// IncrementalPartitioner::repartition contract: non-null = maintained by
-/// the caller and left describing the result; null = seeded internally
-/// with one O(V+E) rescan.
-[[nodiscard]] IgpResult spmd_repartition(
-    SpmdExecutor& executor, const graph::Graph& g_new,
-    const graph::Partitioning& old_partitioning, graph::VertexId n_old,
-    const IgpOptions& options = {}, graph::PartitionState* state = nullptr);
-
-/// Compatibility: run on a caller-owned Machine (wrapped in a
-/// MachineExecutor).
-[[nodiscard]] IgpResult spmd_repartition(
-    runtime::Machine& machine, const graph::Graph& g_new,
-    const graph::Partitioning& old_partitioning, graph::VertexId n_old,
-    const IgpOptions& options = {}, graph::PartitionState* state = nullptr);
-
-/// The streaming hot path, mirroring
-/// IncrementalPartitioner::repartition_in_place: the pipeline runs in
-/// place on \p partitioning / \p state with the session's \p ws for the
-/// assignment step and one persistent Workspace per rank (\p rank_ws,
-/// resized to the executor's rank count) for the per-rank resumable
-/// layering and the gather/pack staging buffers — so a steady-state SPMD
-/// repartition reuses all per-vertex storage instead of reallocating it
-/// every call.  Decisions stay bit-identical to the flat driver.
-/// result.partitioning is left empty — the answer IS \p partitioning.
+/// layering and selection are the parallel work).  One persistent
+/// Workspace per rank (\p rank_ws, resized to the executor's rank count)
+/// holds the per-rank resumable layering and the gather/pack staging
+/// buffers, so a steady-state SPMD repartition reuses all per-vertex
+/// storage instead of reallocating it every call.
 [[nodiscard]] IgpResult spmd_repartition_in_place(
     SpmdExecutor& executor, const graph::Graph& g_new,
     graph::Partitioning& partitioning, graph::VertexId n_old,
     const IgpOptions& options, graph::PartitionState& state, Workspace& ws,
     std::vector<Workspace>& rank_ws);
 
-/// Compatibility: the in-place hot path on a caller-owned Machine.
-[[nodiscard]] IgpResult spmd_repartition_in_place(
-    runtime::Machine& machine, const graph::Graph& g_new,
-    graph::Partitioning& partitioning, graph::VertexId n_old,
-    const IgpOptions& options, graph::PartitionState& state, Workspace& ws,
-    std::vector<Workspace>& rank_ws);
+/// Batch adapter: seed a state over a copy of \p old_partitioning
+/// (seed_in_place) and run spmd_repartition_in_place with call-local
+/// workspaces; result.partitioning is the answer.
+[[nodiscard]] IgpResult spmd_repartition(
+    SpmdExecutor& executor, const graph::Graph& g_new,
+    const graph::Partitioning& old_partitioning, graph::VertexId n_old,
+    const IgpOptions& options = {});
 
 }  // namespace pigp::core

@@ -68,16 +68,12 @@ struct DeltaResult {
 /// guarantee) and the two paths agree on what a malformed delta is.
 void validate_delta(const Graph& g, const GraphDelta& delta);
 
-/// Apply \p delta to \p g, producing a new graph (the from-scratch
-/// reference path; Session::apply mutates in place instead).  Validates via
-/// validate_delta() and additionally requires \p g to have no dead
+/// Apply \p delta to \p g, producing a new graph rebuilt from scratch
+/// through GraphBuilder — O(E log E) per call, the reference path that
+/// Session::apply's in-place O(Δ) mutation is tested against.  Validates
+/// via validate_delta() and additionally requires \p g to have no dead
 /// (tombstoned) vertices — compact first.  Adding an edge that already
 /// exists merges the weights (sum), mirroring GraphBuilder semantics.
-///
-/// Append-only deltas (no removals — the paper's refinement-front case)
-/// take a fast path that merges the O(Δ) new half-edges into the existing
-/// sorted adjacency in one linear copy, instead of re-sorting the whole
-/// graph through GraphBuilder; the resulting graph is identical.
 [[nodiscard]] DeltaResult apply_delta(const Graph& g, const GraphDelta& delta);
 
 // Forward declaration (partition.hpp includes graph.hpp only).

@@ -49,13 +49,6 @@ class FlakyBackend final : public Backend {
   }
 
   [[nodiscard]] BackendResult repartition(
-      const Graph& g_new, const Partitioning& old_partitioning,
-      graph::VertexId n_old) override {
-    maybe_throw();
-    return inner_->repartition(g_new, old_partitioning, n_old);
-  }
-
-  [[nodiscard]] BackendResult repartition(
       const Graph& g_new, Partitioning& partitioning, graph::VertexId n_old,
       graph::PartitionState& state, core::Workspace& ws) override {
     maybe_throw();

@@ -120,7 +120,6 @@ TEST(Session, BackendRegistryRoundTripsAllBuiltinNames) {
         BackendRegistry::global().create(name, resolved);
     ASSERT_NE(backend, nullptr) << name;
     EXPECT_EQ(backend->name(), name);
-    EXPECT_EQ(backend->incremental(), name != "scratch") << name;
   }
   // The listing includes all five names.
   const std::vector<std::string> names = BackendRegistry::global().names();

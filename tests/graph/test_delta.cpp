@@ -135,9 +135,9 @@ TEST(GraphDelta, EmptyDeltaIsIdentity) {
 }
 
 TEST(GraphDelta, AppendOnlyFastPathMatchesBuilderReconstruction) {
-  // The no-removals fast path merges into the old CSR instead of
-  // rebuilding; the result must be indistinguishable from pushing the old
-  // graph plus the delta through GraphBuilder (the general path's engine).
+  // An append-only delta (no removals) keeps every old id and appends the
+  // new vertices; the result must be indistinguishable from pushing the
+  // old graph plus the delta through GraphBuilder by hand.
   const Graph base = random_geometric_graph(180, 0.12, 55);
   GraphDelta delta;
   // New vertices with weighted edges to old anchors and a new-new chain.
@@ -214,10 +214,9 @@ TEST(GraphDelta, AppendOnlyFastPathValidatesLikeTheGeneralPath) {
 }
 
 TEST(GraphDelta, DuplicateEdgeDedupIdenticalOnFastAndRebuildPaths) {
-  // Regression: the append fast path and the removal-triggered rebuild
-  // path must resolve duplicate added_edges identically — every listing of
-  // {u, v} merges by summing, whether or not the delta also removes
-  // something (which historically routed it through a different engine).
+  // Regression: duplicate added_edges resolve identically whether or not
+  // the delta also removes something — every listing of {u, v} merges by
+  // summing (append-only deltas once took a separate merge engine).
   const Graph base = grid_graph(5, 5);
   GraphDelta fast_delta;
   fast_delta.added_edges = {{0, 6}, {6, 0}, {0, 6}};  // triple-listed
@@ -226,7 +225,7 @@ TEST(GraphDelta, DuplicateEdgeDedupIdenticalOnFastAndRebuildPaths) {
   EXPECT_DOUBLE_EQ(fast.graph.edge_weight(0, 6), 7.0);
 
   GraphDelta rebuild_delta = fast_delta;
-  rebuild_delta.removed_vertices.push_back(24);  // forces the rebuild path
+  rebuild_delta.removed_vertices.push_back(24);  // plus a removal
   const DeltaResult rebuilt = apply_delta(base, rebuild_delta);
   EXPECT_DOUBLE_EQ(rebuilt.graph.edge_weight(0, 6), 7.0);
 
@@ -242,16 +241,16 @@ TEST(GraphDelta, DuplicateEdgeDedupIdenticalOnFastAndRebuildPaths) {
 }
 
 TEST(GraphDelta, NegativeEdgeWeightRejectedOnBothPaths) {
-  // Regression: the rebuild path used to accept negative added-edge
-  // weights that the append fast path rejected.  validate_delta is now the
+  // Regression: deltas with removals used to accept negative added-edge
+  // weights that append-only deltas rejected.  validate_delta is now the
   // single shared rule-set.
   const Graph base = square();
   GraphDelta bad;
   bad.added_edges = {{0, 2}};
   bad.added_edge_weights = {-1.0};
-  EXPECT_THROW(apply_delta(base, bad), CheckError);  // fast path
+  EXPECT_THROW(apply_delta(base, bad), CheckError);  // append-only
   bad.removed_edges.push_back({0, 1});
-  EXPECT_THROW(apply_delta(base, bad), CheckError);  // rebuild path
+  EXPECT_THROW(apply_delta(base, bad), CheckError);  // with removals
   GraphDelta bad_vertex;
   bad_vertex.added_vertices.push_back({1.0, {{0, -2.0}}});
   bad_vertex.removed_edges.push_back({0, 1});
