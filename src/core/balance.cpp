@@ -98,16 +98,12 @@ void harvest_moves(const lp::Solution& solution,
   }
 }
 
-}  // namespace
-
-StageDecision decide_stage_moves_alpha(
+/// The α ladder (the paper's staging): smallest feasible α by doubling up
+/// to options.alpha_max, no fallback (nullopt when none works).
+std::optional<StageDecision> decide_stage_moves_alpha(
     const pigp::DenseMatrix<std::int64_t>& eps,
     const std::vector<double>& excess, const BalanceOptions& options) {
   const std::size_t parts = eps.rows();
-  StageDecision decision;
-  decision.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
-
-  // Paper staging: smallest feasible alpha in {1, 2, 4, ...}.
   pigp::DenseMatrix<int> pair_vars;
   for (double alpha = 1.0; alpha <= options.alpha_max; alpha *= 2.0) {
     const std::vector<double> rhs = staged_requirements(excess, alpha);
@@ -119,7 +115,8 @@ StageDecision decide_stage_moves_alpha(
     const lp::Solution solution =
         solve_lp(program, options.solver, options.simplex);
     if (solution.status == lp::SolveStatus::optimal) {
-      decision.lp_feasible = true;
+      StageDecision decision;
+      decision.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
       decision.stats.alpha = alpha;
       decision.stats.lp_variables = program.num_variables();
       decision.stats.lp_rows = program.num_rows();
@@ -129,9 +126,12 @@ StageDecision decide_stage_moves_alpha(
       return decision;
     }
   }
-  return decision;
+  return std::nullopt;
 }
 
+/// The best-effort fallback for capacities no α fits: relax the balance
+/// rows with penalized slack and move whatever the ε capacities admit this
+/// stage; the next stage re-layers and continues.
 StageDecision best_effort_stage_moves(
     const pigp::DenseMatrix<std::int64_t>& eps,
     const std::vector<double>& excess, const BalanceOptions& options) {
@@ -139,9 +139,6 @@ StageDecision best_effort_stage_moves(
   StageDecision decision;
   decision.moves = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
 
-  // Relax the balance rows with penalized slack and move whatever the
-  // epsilon capacities admit this stage; the next stage re-layers and
-  // continues.
   const std::vector<double> rhs = staged_requirements(excess, 1.0);
   lp::LinearProgram program(lp::Sense::minimize);
   pigp::DenseMatrix<int> vars(parts, parts, -1);
@@ -179,9 +176,8 @@ StageDecision best_effort_stage_moves(
   return decision;
 }
 
-namespace {
+}  // namespace
 
-/// W(q) − target_q per partition; returns the max |excess|.
 double compute_excess(const std::vector<double>& weight,
                       const std::vector<double>& targets,
                       std::vector<double>& excess) {
@@ -193,7 +189,21 @@ double compute_excess(const std::vector<double>& weight,
   return max_dev;
 }
 
-}  // namespace
+std::optional<StageDecision> settle_stage(
+    const pigp::DenseMatrix<std::int64_t>& eps,
+    const std::vector<double>& excess, bool exhausted, int depth,
+    const BalanceOptions& options) {
+  BalanceOptions ladder = options;
+  if (!exhausted) ladder.alpha_max = 1.0;
+  std::optional<StageDecision> decision =
+      decide_stage_moves_alpha(eps, excess, ladder);
+  if (!decision) {
+    if (!exhausted) return std::nullopt;  // deepen
+    decision = best_effort_stage_moves(eps, excess, options);
+  }
+  decision->stats.layer_depth = exhausted ? -1 : depth;
+  return decision;
+}
 
 BalanceResult balance_load(const graph::Graph& g,
                            graph::Partitioning& partitioning,
@@ -239,43 +249,27 @@ BalanceResult balance_load(const graph::Graph& g,
 
     // Boundary-seeded layering, depth-capped with lazy deepening: a mildly
     // imbalanced stream labels a thin shell and stops as soon as the
-    // one-shot (α = 1) LP fits in it.  A relaxed α is only ever accepted
-    // at exhaustion — where the capacities equal the batch layering's — so
-    // the α this stage settles on is always exactly the α the batch
-    // pipeline would have picked, and the best-effort fallback likewise
-    // runs only on batch-equivalent capacities.
+    // one-shot (α = 1) LP fits in it.  settle_stage accepts a relaxed α or
+    // the best-effort fallback only at exhaustion — where the capacities
+    // equal the batch layering's — so every stage decides exactly what the
+    // batch pipeline would have.
     layering.reseed(state, options.num_threads);
-    const int cap = options.max_layers;
-    int depth_budget = cap == 0 ? -1 : cap;
-    layering.grow(depth_budget, options.num_threads);
-    int grow_step = cap;
-    // Before exhaustion only an α = 1 result can be accepted, so don't
-    // waste α ≥ 2 LP solves on shells that would be deepened anyway.
-    BalanceOptions one_shot = options;
-    one_shot.alpha_max = 1.0;
-    StageDecision decision;
-    while (true) {
-      const bool full = layering.exhausted();
-      decision = decide_stage_moves_alpha(layering.eps(), excess,
-                                          full ? options : one_shot);
-      if (full || decision.lp_feasible) break;
-      layering.grow(grow_step, options.num_threads);
-      depth_budget += grow_step;
-      grow_step *= 2;  // double the total depth per retry
+    LayeringDepth depth(layering, options.max_layers, options.num_threads);
+    std::optional<StageDecision> decision;
+    while (!(decision = settle_stage(layering.eps(), excess,
+                                     layering.exhausted(), depth.depth(),
+                                     options))) {
+      depth.deepen();
     }
-    if (!decision.lp_feasible) {
-      decision = best_effort_stage_moves(layering.eps(), excess, options);
-    }
-    decision.stats.layer_depth = layering.exhausted() ? -1 : depth_budget;
 
-    if (!decision.progress) {
+    if (!decision->progress) {
       // Nothing can move at all (e.g. a partition with no boundary);
       // report imbalance to the caller, who may fall back to
       // repartitioning from scratch (§2.3).
       return result;
     }
-    result.stages.push_back(decision.stats);
-    apply_balance_transfers(g, partitioning, layering, decision.moves,
+    result.stages.push_back(decision->stats);
+    apply_balance_transfers(g, partitioning, layering, decision->moves,
                             state);
   }
 

@@ -15,6 +15,7 @@
 /// iterates; the paper reports 1–3 stages on its workloads.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/layering.hpp"
@@ -79,7 +80,7 @@ struct BalanceResult {
 /// The movement LP for one stage.  \p rhs gives each partition's net
 /// outflow requirement; variables exist for ordered pairs with eps > 0.
 /// \p pair_vars receives the variable index per (i, j) pair (-1 when
-/// absent).  Exposed for tests and the SPMD driver.
+/// absent).  Exposed for tests and benches.
 [[nodiscard]] lp::LinearProgram build_balance_lp(
     const pigp::DenseMatrix<std::int64_t>& eps, const std::vector<double>& rhs,
     pigp::DenseMatrix<int>* pair_vars);
@@ -89,34 +90,64 @@ struct BalanceResult {
 [[nodiscard]] std::vector<double> staged_requirements(
     const std::vector<double>& excess, double alpha);
 
-/// One per-stage movement decision, shared by the shared-memory and SPMD
-/// drivers.  `progress` is false when nothing can move.
+/// W(q) − target_q per partition into \p excess (sized like \p weight);
+/// returns the max |excess|.  Every balance engine reads its per-stage
+/// excess and final deviation through this one function.
+[[nodiscard]] double compute_excess(const std::vector<double>& weight,
+                                    const std::vector<double>& targets,
+                                    std::vector<double>& excess);
+
+/// One stage's settled movement decision.  `progress` is false when
+/// nothing can move.
 struct StageDecision {
   bool progress = false;
-  /// True when the α ladder found an optimal LP at the given capacities
-  /// (false means the capacities were insufficient — the drivers react by
-  /// deepening the layering before falling back).
-  bool lp_feasible = false;
   BalanceStage stats;
   pigp::DenseMatrix<std::int64_t> moves;
 };
 
-/// The α ladder (the paper's staging): smallest feasible α by doubling,
-/// no fallback (lp_feasible == false when none works).  The drivers
-/// interleave this with lazy layering growth — before exhaustion they
-/// pass alpha_max = 1 since only an α = 1 result can be accepted there.
-[[nodiscard]] StageDecision decide_stage_moves_alpha(
+/// The stage acceptance rule every balance engine runs (the flat driver
+/// below and rank 0 of both SPMD engines): on capacities \p eps labeled to
+/// \p depth levels, take the smallest feasible α of the paper's ladder —
+/// before exhaustion only the α = 1 rung, since a relaxed α is accepted
+/// only on exhausted (batch-equivalent) capacities.  Returns nullopt for
+/// "deepen" (infeasible, not yet exhausted); infeasible at exhaustion runs
+/// the best-effort LP (stats.alpha == 0: penalized slack, move what the
+/// capacities admit).  stats.layer_depth is \p depth, or -1 at exhaustion.
+[[nodiscard]] std::optional<StageDecision> settle_stage(
     const pigp::DenseMatrix<std::int64_t>& eps,
-    const std::vector<double>& excess, const BalanceOptions& options);
+    const std::vector<double>& excess, bool exhausted, int depth,
+    const BalanceOptions& options);
 
-/// The best-effort fallback: when no α is feasible — the layering
-/// capacities are structurally insufficient this stage — a slack-relaxed
-/// LP moves as much toward balance as the capacities allow (slack
-/// penalized, movement lightly penalized).  Run it on exhausted (full)
-/// capacities only, so its decisions match the batch pipeline.
-[[nodiscard]] StageDecision best_effort_stage_moves(
-    const pigp::DenseMatrix<std::int64_t>& eps,
-    const std::vector<double>& excess, const BalanceOptions& options);
+/// The lazy-deepening depth schedule of one stage, defined once for every
+/// engine: construction grows a freshly reseeded \p layering \p max_layers
+/// levels past the boundary (BalanceOptions.max_layers; 0 = unlimited:
+/// straight to exhaustion), and each deepen() grows it by a step that
+/// doubles, so the total depth doubles per retry.
+class LayeringDepth {
+ public:
+  LayeringDepth(BoundaryLayering& layering, int max_layers, int num_threads)
+      : layering_(layering),
+        num_threads_(num_threads),
+        depth_budget_(max_layers == 0 ? -1 : max_layers),
+        grow_step_(max_layers) {
+    layering_.grow(depth_budget_, num_threads_);
+  }
+
+  /// Total depth grown so far (-1 = unlimited).
+  [[nodiscard]] int depth() const { return depth_budget_; }
+
+  void deepen() {
+    layering_.grow(grow_step_, num_threads_);
+    depth_budget_ += grow_step_;
+    grow_step_ *= 2;
+  }
+
+ private:
+  BoundaryLayering& layering_;
+  int num_threads_;
+  int depth_budget_;
+  int grow_step_;
+};
 
 /// Run balance stages in place on \p partitioning until balanced or the
 /// stage limit is hit.  Layering is recomputed each stage.  This batch

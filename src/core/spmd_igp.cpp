@@ -1,13 +1,13 @@
 #include "core/spmd_igp.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 #include <utility>
 
 #include "core/layering.hpp"
 #include "core/transfer.hpp"
 #include "core/workspace.hpp"
-#include "support/check.hpp"
+#include "graph/shard.hpp"
 
 namespace pigp::core {
 namespace {
@@ -16,9 +16,20 @@ using graph::PartId;
 using graph::VertexId;
 using net::Packet;
 
-/// Rank that owns partition q.
-int owner_of(PartId q, int num_ranks) {
-  return static_cast<int>(q) % num_ranks;
+/// This rank's handshake offer: (exhausted flag, owned ε rows packed in
+/// owned order through the \p eps_rows scratch).
+Packet stage_offer(const BoundaryLayering& layering,
+                   const std::vector<PartId>& owned, std::size_t parts,
+                   std::vector<std::int64_t>& eps_rows) {
+  eps_rows.assign(owned.size() * parts, 0);
+  for (std::size_t k = 0; k < owned.size(); ++k) {
+    const auto row = layering.eps().row(static_cast<std::size_t>(owned[k]));
+    std::copy(row.begin(), row.end(), eps_rows.begin() + k * parts);
+  }
+  Packet offer;
+  offer.pack(layering.exhausted() ? 1 : 0);
+  offer.pack_vector(eps_rows);
+  return offer;
 }
 
 /// Balance stages + refinement on an already-extended (g_new, shared,
@@ -48,120 +59,37 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
     Workspace& mine_ws = rank_ws[static_cast<std::size_t>(ctx.rank())];
     std::vector<PartId> owned;
     for (PartId q = 0; q < shared.num_parts; ++q) {
-      if (owner_of(q, ctx.num_ranks()) == ctx.rank()) owned.push_back(q);
+      if (graph::shard_owner(q, ctx.num_ranks()) == ctx.rank()) {
+        owned.push_back(q);
+      }
     }
     bool layering_bound = false;
     std::vector<double> excess(parts, 0.0);
     std::vector<std::int64_t>& moves_flat = mine_ws.spmd_moves_flat;
-    moves_flat.assign(parts * parts, 0);
 
     for (int stage = 0; stage < options.balance.max_stages; ++stage) {
       // Every rank reads the excess off the shared state's maintained
       // weights — O(P), identical on all ranks (rank 0 is the only writer
       // and the stage ends in a barrier).
-      double max_dev = 0.0;
-      for (std::size_t q = 0; q < parts; ++q) {
-        excess[q] = state.weights()[q] - targets[q];
-        max_dev = std::max(max_dev, std::abs(excess[q]));
-      }
-      if (max_dev <= options.balance.tolerance) {
-        if (ctx.rank() == 0) result.balance_result.balanced = true;
+      if (compute_excess(state.weights(), targets, excess) <=
+          options.balance.tolerance) {
         break;
       }
 
-      // Boundary-seeded, depth-capped layering of the owned partitions.
+      // Boundary-seeded layering of the owned partitions, then the shared
+      // deepen-vs-decide handshake.
       BoundaryLayering& layering = mine_ws.layering;
       if (!layering_bound) {
         layering.bind(g_new, shared);
         layering_bound = true;
       }
       layering.reseed(state, 1, &owned);
-      const int cap = options.balance.max_layers;
-      int depth_budget = cap == 0 ? -1 : cap;
-      layering.grow(depth_budget, 1);
-      int grow_step = cap;
-
-      // Deepen-vs-decide handshake: allgather (exhausted flag, owned eps
-      // rows); rank 0 runs the α ladder on the assembled capacities and
-      // broadcasts either "deepen" (everyone grows and the loop repeats)
-      // or the final move matrix — exactly the lazy-deepening loop of the
-      // shared-memory driver, with communication in the middle.
-      StageDecision decision;
-      bool progress = false;
-      while (true) {
-        Packet mine;
-        mine.pack(layering.exhausted() ? 1 : 0);
-        std::vector<std::int64_t>& eps_rows = mine_ws.spmd_eps_rows;
-        eps_rows.assign(owned.size() * parts, 0);
-        for (std::size_t k = 0; k < owned.size(); ++k) {
-          const auto row =
-              layering.eps().row(static_cast<std::size_t>(owned[k]));
-          std::copy(row.begin(), row.end(), eps_rows.begin() + k * parts);
-        }
-        mine.pack_vector(eps_rows);
-        const std::vector<Packet> gathered = ctx.allgather(std::move(mine));
-
-        int action = 0;  // 0 = moves ready, 1 = deepen
-        Packet decision_packet;
-        if (ctx.rank() == 0) {
-          bool all_exhausted = true;
-          pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
-          for (int r = 0; r < ctx.num_ranks(); ++r) {
-            Packet p = gathered[static_cast<std::size_t>(r)];
-            const bool rank_exhausted = p.unpack<int>() != 0;
-            all_exhausted = all_exhausted && rank_exhausted;
-            const std::vector<std::int64_t> rows =
-                p.unpack_vector<std::int64_t>();
-            std::size_t k = 0;
-            for (PartId q = 0; q < shared.num_parts; ++q) {
-              if (owner_of(q, ctx.num_ranks()) != r) continue;
-              for (std::size_t j = 0; j < parts; ++j) {
-                eps(static_cast<std::size_t>(q), j) = rows[k * parts + j];
-              }
-              ++k;
-            }
-          }
-          // Same acceptance rule as the shared-memory driver: take α = 1
-          // at any depth, anything else only at exhaustion — so before
-          // exhaustion only the α = 1 rung of the ladder is solved.
-          BalanceOptions ladder = options.balance;
-          if (!all_exhausted) ladder.alpha_max = 1.0;
-          decision = decide_stage_moves_alpha(eps, excess, ladder);
-          if (!all_exhausted && !decision.lp_feasible) {
-            action = 1;
-          } else {
-            if (!decision.lp_feasible) {
-              decision =
-                  best_effort_stage_moves(eps, excess, options.balance);
-            }
-            decision.stats.layer_depth = all_exhausted ? -1 : depth_budget;
-          }
-          decision_packet.pack(action);
-          if (action == 0) {
-            decision_packet.pack(decision.progress ? 1 : 0);
-            for (std::size_t i = 0; i < parts; ++i) {
-              for (std::size_t j = 0; j < parts; ++j) {
-                moves_flat[i * parts + j] = decision.moves(i, j);
-              }
-            }
-            decision_packet.pack_vector(moves_flat);
-          }
-        }
-        Packet received = ctx.broadcast(0, std::move(decision_packet));
-        action = received.unpack<int>();
-        if (action == 1) {
-          layering.grow(grow_step, 1);
-          depth_budget += grow_step;
-          grow_step *= 2;  // double the total depth per retry
-          continue;
-        }
-        progress = received.unpack<int>() != 0;
-        if (progress) moves_flat = received.unpack_vector<std::int64_t>();
-        break;
-      }
-      if (!progress) break;
+      const SpmdStage settled =
+          spmd_settle_stage(ctx, layering, owned, excess, options.balance,
+                            mine_ws.spmd_eps_rows, moves_flat);
+      if (!settled.progress) break;
       if (ctx.rank() == 0) {
-        result.balance_result.stages.push_back(decision.stats);
+        result.balance_result.stages.push_back(settled.stats);
       }
 
       // Each rank selects the transfers out of its owned partitions with
@@ -187,7 +115,7 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
         for (int r = 0; r < ctx.num_ranks(); ++r) {
           Packet p = all_selections[static_cast<std::size_t>(r)];
           for (PartId q = 0; q < shared.num_parts; ++q) {
-            if (owner_of(q, ctx.num_ranks()) != r) continue;
+            if (graph::shard_owner(q, ctx.num_ranks()) != r) continue;
             auto& rows = by_source[static_cast<std::size_t>(q)];
             rows.resize(parts);
             for (std::size_t j = 0; j < parts; ++j) {
@@ -209,18 +137,15 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
     }
   });
 
-  result.stages = static_cast<int>(result.balance_result.stages.size());
-  result.balanced = result.balance_result.balanced;
-  if (!result.balanced) {
-    // Final deviation for reporting — O(P) off the maintained weights.
-    double max_dev = 0.0;
-    for (std::size_t q = 0; q < parts; ++q) {
-      max_dev = std::max(max_dev, std::abs(state.weights()[q] - targets[q]));
-    }
-    result.balance_result.final_max_deviation = max_dev;
-    result.balanced = max_dev <= options.balance.tolerance;
-    result.balance_result.balanced = result.balanced;
-  }
+  // Final deviation — O(P) off the maintained weights, reported like the
+  // flat driver's however the stage loop ended.
+  std::vector<double> excess(parts, 0.0);
+  BalanceResult& balance = result.balance_result;
+  balance.final_max_deviation =
+      compute_excess(state.weights(), targets, excess);
+  balance.balanced = balance.final_max_deviation <= options.balance.tolerance;
+  result.balanced = balance.balanced;
+  result.stages = static_cast<int>(balance.stages.size());
 
   // ---------------------------------------------------- refinement
   // The refinement LP is identical to the shared-memory path; candidate
@@ -233,6 +158,59 @@ IgpResult run_spmd_engine(SpmdExecutor& executor, const graph::Graph& g_new,
 }
 
 }  // namespace
+
+SpmdStage spmd_settle_stage(net::Transport& transport,
+                            BoundaryLayering& layering,
+                            const std::vector<PartId>& owned,
+                            const std::vector<double>& excess,
+                            const BalanceOptions& options,
+                            std::vector<std::int64_t>& eps_rows,
+                            std::vector<std::int64_t>& moves) {
+  const std::size_t parts = excess.size();
+  LayeringDepth depth(layering, options.max_layers, 1);
+  SpmdStage stage;
+  while (true) {
+    const std::vector<Packet> gathered =
+        transport.allgather(stage_offer(layering, owned, parts, eps_rows));
+
+    Packet decision_packet;
+    if (transport.rank() == 0) {
+      bool all_exhausted = true;
+      pigp::DenseMatrix<std::int64_t> eps(parts, parts, 0);
+      for (int r = 0; r < transport.num_ranks(); ++r) {
+        Packet p = gathered[static_cast<std::size_t>(r)];
+        const bool rank_exhausted = p.unpack<int>() != 0;
+        all_exhausted = all_exhausted && rank_exhausted;
+        const std::vector<std::int64_t> rows = p.unpack_vector<std::int64_t>();
+        const std::int64_t* next_row = rows.data();
+        for (PartId q = 0; q < static_cast<PartId>(parts); ++q) {
+          if (graph::shard_owner(q, transport.num_ranks()) != r) continue;
+          std::copy_n(next_row, parts,
+                      eps.row(static_cast<std::size_t>(q)).begin());
+          next_row += parts;
+        }
+      }
+      const std::optional<StageDecision> decision =
+          settle_stage(eps, excess, all_exhausted, depth.depth(), options);
+      decision_packet.pack(decision ? 0 : 1);  // 0 = moves ready, 1 = deepen
+      if (decision) {
+        stage.stats = decision->stats;
+        decision_packet.pack(decision->progress ? 1 : 0);
+        moves.assign(decision->moves.data(),
+                     decision->moves.data() + parts * parts);
+        decision_packet.pack_vector(moves);
+      }
+    }
+    Packet received = transport.broadcast(0, std::move(decision_packet));
+    if (received.unpack<int>() == 1) {
+      depth.deepen();
+      continue;
+    }
+    stage.progress = received.unpack<int>() != 0;
+    if (stage.progress) moves = received.unpack_vector<std::int64_t>();
+    return stage;
+  }
+}
 
 IgpResult spmd_repartition_in_place(SpmdExecutor& executor,
                                     const graph::Graph& g_new,

@@ -6,10 +6,14 @@
 /// The paper ran on a 32-node CM-5 where each node owned a partition,
 /// layered it locally, and cooperated on the LP solve.  This driver
 /// reproduces that structure against the pluggable net::Transport
-/// interface: every rank owns a block of partitions, layers them
-/// independently, the ε matrix is allgathered, rank 0 solves the (tiny) LP
-/// and broadcasts the movement matrix, and each rank applies the transfers
-/// out of its owned partitions.  Results are bit-identical to the
+/// interface: every rank owns the partitions graph::shard_owner assigns it
+/// (round-robin), layers them independently, and runs each balance stage
+/// through spmd_settle_stage — ε rows allgathered, rank 0 applies the flat
+/// driver's settle_stage rule to the (tiny) LP and broadcasts "deepen" or
+/// the movement matrix — then selects the transfers out of its owned
+/// partitions.  The sharded worker (core/spmd_worker.hpp) runs the same
+/// handshake, so the stage protocol is written once.  Results are
+/// bit-identical to the
 /// shared-memory driver — test_spmd_igp asserts it — so the communication
 /// structure is exercised without changing semantics.  Like the flat
 /// driver it has one implementation, spmd_repartition_in_place, running on
@@ -24,11 +28,13 @@
 /// one-process-per-rank shape lives in core/spmd_worker.hpp, which shards
 /// the graph instead of replicating it.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/igp.hpp"
+#include "core/layering.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "runtime/net/fault_transport.hpp"
@@ -119,19 +125,44 @@ class FaultInjectingExecutor final : public SpmdExecutor {
   std::shared_ptr<net::FaultScript> script_;
 };
 
+/// What one SPMD balance stage settled on.
+struct SpmdStage {
+  /// False when nothing can move; the caller's stage loop ends.
+  bool progress = false;
+  /// The stage record (α, LP size and iterations, layer depth); filled on
+  /// rank 0 only.
+  BalanceStage stats;
+};
+
+/// The deepen-vs-decide handshake of one balance stage — the one stage
+/// protocol both SPMD engines run (spmd_repartition_in_place below and
+/// core/spmd_worker's spmd_worker_rebalance; each keeps its own seeding,
+/// selection packets and move application).  \p layering must be freshly
+/// reseeded with this rank's \p owned partitions (graph::shard_owner's
+/// round-robin); the handshake grows it on the LayeringDepth schedule.  Per
+/// round every rank allgathers (exhausted flag, owned ε rows); rank 0
+/// assembles ε, applies settle_stage to the same \p excess every rank
+/// holds, and broadcasts either "deepen" — every rank grows one step and
+/// the round repeats — or (progress flag, P×P move matrix).  With progress,
+/// \p moves holds the matrix row-major on every rank on return.
+/// \p eps_rows is packing scratch.
+[[nodiscard]] SpmdStage spmd_settle_stage(
+    net::Transport& transport, BoundaryLayering& layering,
+    const std::vector<graph::PartId>& owned, const std::vector<double>& excess,
+    const BalanceOptions& options, std::vector<std::int64_t>& eps_rows,
+    std::vector<std::int64_t>& moves);
+
 /// Run the full IGP/IGPR pipeline in place on \p executor's ranks,
 /// mirroring IncrementalPartitioner::repartition_in_place: \p partitioning
 /// covers [0, n_old) on entry and \p state describes it with the appended
 /// tail unassigned; on return both describe the result (result.partitioning
 /// is left empty — the answer IS \p partitioning).  The graph is
 /// replicated (the CM-5 implementation also kept the small meshes resident
-/// per node); partition ownership is round-robin: rank r owns partitions q
-/// with q % num_ranks == r.
+/// per node); partition ownership is graph::shard_owner's round-robin.
 ///
 /// Step 1 is one global pass through \p ws.  Then each rank seeds its
 /// owned partitions' layering from the shared PartitionState's boundary
-/// index and grows it depth-capped; the deepen-vs-decide handshake is a
-/// broadcast from rank 0, so every rank retries the α ladder on the same
+/// index and runs spmd_settle_stage, so every stage settles on the same
 /// lazily-deepened ε capacities and the decisions stay bit-identical to
 /// the shared-memory pipeline.  Selected transfers are gathered and
 /// applied by rank 0 through the state (the writes were always trivial —

@@ -5,9 +5,12 @@
 ///
 /// core/spmd_igp runs the paper's protocol with the graph replicated and a
 /// shared PartitionState — fine for threads, impossible across processes.
-/// This engine runs the SAME per-stage protocol (boundary-seeded
-/// depth-capped layering of owned partitions, allgathered ε capacities,
-/// rank-0 α-ladder LP, broadcast deepen-vs-decide, per-rank selection)
+/// This engine runs the same per-stage protocol by construction: it seeds
+/// its owned partitions' layering from a shard scan (bit-identical to the
+/// state's boundary index) and then calls the one shared handshake,
+/// spmd_settle_stage (core/spmd_igp.hpp: allgathered ε capacities, rank-0
+/// settle_stage, broadcast deepen-vs-decide).  Only the seeding, the
+/// selection packets and the move application are its own, and they run
 /// against a graph::GraphShard: each rank holds full adjacency rows only
 /// for vertices in its owned partitions (plus halo), the partition-id and
 /// vertex-weight vectors are replicated, and every rank applies the

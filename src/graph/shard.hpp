@@ -6,12 +6,12 @@
 /// The distributed worker (core/spmd_worker) keeps the *adjacency payload*
 /// — the O(E) term that dominates graph memory — sharded: rank r holds the
 /// full adjacency rows only of the vertices in the partitions it owns
-/// (partition q belongs to rank q % num_ranks, matching the SPMD engine's
-/// round-robin ownership), plus the reverse "halo" edges pointing back at
-/// them from non-resident neighbors.  The O(V) scalar vectors (partition
-/// ids, vertex weights) stay replicated — the paper's CM-5 implementation
-/// replicated exactly those small arrays too — so the per-rank footprint
-/// is O(V + E/ranks + boundary) with the E term sharded.
+/// (partition q belongs to rank shard_owner(q) = q % num_ranks, the SPMD
+/// engines' one ownership rule), plus the reverse "halo" edges pointing
+/// back at them from non-resident neighbors.  The O(V) scalar vectors
+/// (partition ids, vertex weights) stay replicated — the paper's CM-5
+/// implementation replicated exactly those small arrays too — so the
+/// per-rank footprint is O(V + E/ranks + boundary) with the E term sharded.
 ///
 /// Sharding is *by key range* in the intended deployment: the initial
 /// partitioning handed to the loader is contiguous
@@ -40,8 +40,9 @@
 
 namespace pigp::graph {
 
-/// Rank that owns partition \p q — must match the SPMD engine's
-/// round-robin ownership (core/spmd_igp) or parity dies.
+/// Rank that owns partition \p q (round-robin) — the one ownership rule
+/// of both SPMD engines (core/spmd_igp, core/spmd_worker) and of the shard
+/// loader; their bit-parity rests on it.
 [[nodiscard]] inline int shard_owner(PartId q, int num_ranks) {
   return static_cast<int>(q) % num_ranks;
 }

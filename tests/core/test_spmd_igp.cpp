@@ -22,6 +22,31 @@ struct SpmdCase {
 
 class SpmdEquivalence : public ::testing::TestWithParam<SpmdCase> {};
 
+/// Both drivers run one stage protocol, so the whole stage record, the
+/// final deviation and the refinement outcome match — not only the parts.
+void expect_same_record(const IgpResult& expected, const IgpResult& actual) {
+  const BalanceResult& want = expected.balance_result;
+  const BalanceResult& got = actual.balance_result;
+  ASSERT_EQ(want.stages.size(), got.stages.size());
+  for (std::size_t s = 0; s < want.stages.size(); ++s) {
+    EXPECT_EQ(want.stages[s].alpha, got.stages[s].alpha) << "stage " << s;
+    EXPECT_EQ(want.stages[s].layer_depth, got.stages[s].layer_depth)
+        << "stage " << s;
+    EXPECT_EQ(want.stages[s].lp_rows, got.stages[s].lp_rows) << "stage " << s;
+    EXPECT_EQ(want.stages[s].lp_variables, got.stages[s].lp_variables)
+        << "stage " << s;
+    EXPECT_EQ(want.stages[s].lp_iterations, got.stages[s].lp_iterations)
+        << "stage " << s;
+    EXPECT_EQ(want.stages[s].vertices_moved, got.stages[s].vertices_moved)
+        << "stage " << s;
+  }
+  EXPECT_EQ(want.final_max_deviation, got.final_max_deviation);
+  EXPECT_EQ(expected.refine_stats.rounds, actual.refine_stats.rounds);
+  EXPECT_EQ(expected.refine_stats.vertices_moved,
+            actual.refine_stats.vertices_moved);
+  EXPECT_EQ(expected.refine_stats.cut_after, actual.refine_stats.cut_after);
+}
+
 TEST_P(SpmdEquivalence, MatchesSharedMemoryDriver) {
   const SpmdCase param = GetParam();
   const mesh::MeshSequence seq = mesh::make_small_mesh_sequence(
@@ -40,6 +65,7 @@ TEST_P(SpmdEquivalence, MatchesSharedMemoryDriver) {
   EXPECT_EQ(expected.partitioning.part, actual.partitioning.part);
   EXPECT_EQ(expected.balanced, actual.balanced);
   EXPECT_EQ(expected.stages, actual.stages);
+  expect_same_record(expected, actual);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, SpmdEquivalence,
@@ -63,6 +89,7 @@ TEST(SpmdIgp, WithoutRefinement) {
       spmd_repartition(executor, seq.graphs[1], initial,
                        seq.graphs[0].num_vertices(), options);
   EXPECT_EQ(expected.partitioning.part, actual.partitioning.part);
+  expect_same_record(expected, actual);
 }
 
 TEST(SpmdIgp, MachineIsReusable) {

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/spmd_igp.hpp"
+#include "graph/builder.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
 #include "graph/shard.hpp"
@@ -118,7 +120,9 @@ TEST(Shard, ContiguousPartitioningTilesAndSkews) {
     // Contiguous and non-decreasing, every partition non-empty.
     std::vector<int> counts(7, 0);
     for (std::size_t v = 0; v < p.part.size(); ++v) {
-      if (v > 0) EXPECT_GE(p.part[v], p.part[v - 1]);
+      if (v > 0) {
+        EXPECT_GE(p.part[v], p.part[v - 1]);
+      }
       ++counts[static_cast<std::size_t>(p.part[v])];
     }
     for (int c : counts) EXPECT_GE(c, 1);
@@ -229,6 +233,72 @@ TEST(SpmdWorker, MigratedRowsKeepResidencyInvariant) {
           std::equal(got.begin(), got.end(), want.begin(), want.end()))
           << "migrated row mismatch for vertex " << v;
     }
+  }
+}
+
+/// A 10x10 grid (ids 0-99) plus a separate 6x6 grid (ids 100-135), cut
+/// into P = 4 with part 3 = the whole small grid: its own component, two
+/// vertices over its target of 34 and nothing to shed them across, so no α
+/// fits and the stage protocol ends on the best-effort LP.
+std::pair<Graph, Partitioning> stranded_excess_case() {
+  graph::GraphBuilder builder(136);
+  const auto add_grid = [&builder](graph::VertexId first, int side) {
+    for (int r = 0; r < side; ++r) {
+      for (int c = 0; c < side; ++c) {
+        const graph::VertexId v = first + r * side + c;
+        if (c + 1 < side) builder.add_edge(v, v + 1);
+        if (r + 1 < side) builder.add_edge(v, v + side);
+      }
+    }
+  };
+  add_grid(0, 10);
+  add_grid(100, 6);
+  Partitioning p;
+  p.num_parts = 4;
+  for (graph::VertexId v = 0; v < 136; ++v) {
+    p.part.push_back(v < 70 ? 0 : v < 85 ? 1 : v < 100 ? 2 : 3);
+  }
+  return {builder.build(), p};
+}
+
+TEST(SpmdWorker, BestEffortStageMatchesAcrossEngines) {
+  const auto [g, initial] = stranded_excess_case();
+  const IgpOptions options = rebalance_options();
+  const IgpResult flat = IncrementalPartitioner(options).repartition(
+      g, initial, g.num_vertices());
+  ASSERT_FALSE(flat.balance_result.stages.empty());
+  EXPECT_EQ(flat.balance_result.stages.back().alpha, 0.0);
+  EXPECT_FALSE(flat.balanced);
+  EXPECT_EQ(flat.balance_result.final_max_deviation, 2.0);
+
+  for (int ranks = 1; ranks <= 3; ++ranks) {
+    SCOPED_TRACE("ranks = " + std::to_string(ranks));
+    MachineExecutor replicated_executor(ranks);
+    const IgpResult replicated = spmd_repartition(
+        replicated_executor, g, initial, g.num_vertices(), options);
+    EXPECT_EQ(flat.partitioning.part, replicated.partitioning.part);
+    EXPECT_EQ(flat.balanced, replicated.balanced);
+    EXPECT_EQ(flat.balance_result.final_max_deviation,
+              replicated.balance_result.final_max_deviation);
+    const auto& want = flat.balance_result.stages;
+    const auto& got = replicated.balance_result.stages;
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      EXPECT_EQ(want[s].alpha, got[s].alpha) << "stage " << s;
+      EXPECT_EQ(want[s].layer_depth, got[s].layer_depth) << "stage " << s;
+      EXPECT_EQ(want[s].lp_iterations, got[s].lp_iterations) << "stage " << s;
+      EXPECT_EQ(want[s].vertices_moved, got[s].vertices_moved)
+          << "stage " << s;
+    }
+
+    MachineExecutor worker_executor(ranks);
+    const auto [sharded, stats] =
+        run_worker(worker_executor, g, initial, options);
+    EXPECT_EQ(flat.partitioning.part, sharded.part);
+    EXPECT_EQ(flat.stages, stats.stages);
+    EXPECT_EQ(flat.balanced, stats.balanced);
+    EXPECT_EQ(flat.balance_result.final_max_deviation,
+              stats.final_max_deviation);
   }
 }
 
