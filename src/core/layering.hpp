@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/label_tally.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/partition_state.hpp"
@@ -60,9 +61,10 @@ struct LayeringResult {
 /// Reusable per-thread working buffers for the layering BFS — one
 /// partition's BFS allocates nothing when handed a scratch that has been
 /// used before (the per-partition OpenMP loop used to churn a tally/next
-/// allocation per partition).
+/// allocation per partition).  The label tally costs O(deg) per vertex, not
+/// O(P).
 struct LayerScratch {
-  std::vector<double> tally;
+  LabelTally tally;
   std::vector<graph::VertexId> frontier;
   std::vector<graph::VertexId> next;
 };

@@ -50,35 +50,36 @@ void collect_candidates(
 #endif
     auto& mine = scratch[static_cast<std::size_t>(tid)].found;
     auto& out = scratch[static_cast<std::size_t>(tid)].out;
-    out.assign(parts, 0.0);
+    out.reset(parts);
 #pragma omp for schedule(static)
     for (std::size_t b = 0; b < boundary.size(); ++b) {
       const graph::VertexId v = boundary[b];
       const graph::PartId from = p.part[static_cast<std::size_t>(v)];
       const auto nbrs = g.neighbors(v);
       const auto weights = g.incident_edge_weights(v);
-      // out(v, j) per partition and in(v).
+      // out(v, j) per touched partition and in(v).
       double in = 0.0;
-      std::fill(out.begin(), out.end(), 0.0);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         const graph::PartId q = p.part[static_cast<std::size_t>(nbrs[i])];
         if (q == from) {
           in += weights[i];
         } else {
-          out[static_cast<std::size_t>(q)] += weights[i];
+          out.add(q, weights[i]);
         }
       }
-      // Best destination by gain, ties to the smaller partition id.
+      // Best destination by gain, ties to the smaller partition id (the
+      // touched labels come in neighbour order, so ties compare ids).
       graph::PartId best = -1;
       double best_gain = 0.0;
-      for (std::size_t q = 0; q < parts; ++q) {
-        if (out[q] <= 0.0) continue;
-        const double gain = out[q] - in;
-        if (best < 0 || gain > best_gain) {
-          best = static_cast<graph::PartId>(q);
+      for (const graph::PartId q : out.touched()) {
+        if (out.weight(q) <= 0.0) continue;
+        const double gain = out.weight(q) - in;
+        if (best < 0 || gain > best_gain || (gain == best_gain && q < best)) {
+          best = q;
           best_gain = gain;
         }
       }
+      out.clear();
       if (best < 0) continue;
       if (strict ? best_gain > 0.0 : best_gain >= 0.0) {
         mine.emplace_back(

@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/label_tally.hpp"
 #include "core/layering.hpp"
 #include "core/transfer.hpp"
 #include "graph/graph.hpp"
@@ -120,7 +121,7 @@ struct Workspace {
   pigp::DenseMatrix<std::vector<GainCandidate>> refine_candidates;
   /// Per-OpenMP-thread candidate scan scratch.
   struct RefineThreadScratch {
-    std::vector<double> out;  ///< out(v, j) tallies, one slot per part
+    LabelTally out;  ///< out(v, j) tallies, O(deg) per vertex
     std::vector<std::pair<std::size_t, GainCandidate>> found;
   };
   std::vector<RefineThreadScratch> refine_scratch;

@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/partition_state.hpp"
+#include "support/rng.hpp"
 
 namespace pigp::core {
 namespace {
@@ -219,6 +226,212 @@ TEST(Layering, MatchesPaperFigure4Shape) {
   // All vertices are labeled (grid is connected).
   for (int v = 0; v < 36; ++v) {
     EXPECT_GE(res.label[static_cast<std::size_t>(v)], 0);
+  }
+}
+
+// --- Tie rule and dense oracle -------------------------------------------
+// The layering tallies only the labels a vertex's neighbours carry.  These
+// cases pin the decisions of the dense O(P) tally it replaced: ties are
+// walked in ascending label id and picked by mix(v) % count.
+
+/// The layering's tie hash (murmur3 finalizer), copied so the expected
+/// picks are computed independently of the library.
+std::uint64_t oracle_mix(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDULL;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// Dense majority label over all P slots.
+graph::PartId oracle_majority_label(const std::vector<double>& tally,
+                                    VertexId v) {
+  double best = 0.0;
+  for (const double t : tally) best = std::max(best, t);
+  if (best <= 0.0) return -1;
+  int tied_count = 0;
+  graph::PartId only = -1;
+  for (std::size_t q = 0; q < tally.size(); ++q) {
+    if (tally[q] == best) {
+      only = static_cast<graph::PartId>(q);
+      ++tied_count;
+    }
+  }
+  if (tied_count == 1) return only;
+  const int pick = static_cast<int>(
+      oracle_mix(static_cast<std::uint64_t>(v)) %
+      static_cast<std::uint64_t>(tied_count));
+  int seen = 0;
+  for (std::size_t q = 0; q < tally.size(); ++q) {
+    if (tally[q] == best) {
+      if (seen == pick) return static_cast<graph::PartId>(q);
+      ++seen;
+    }
+  }
+  return only;
+}
+
+/// Dense layering of every partition: seed from a member scan, grow level
+/// by level, clear and scan all P tally slots per vertex.
+LayeringResult oracle_layering(const Graph& g, const Partitioning& p) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto parts = static_cast<std::size_t>(p.num_parts);
+  LayeringResult r;
+  r.label.assign(n, -1);
+  r.layer.assign(n, -1);
+  r.eps = pigp::DenseMatrix<std::int64_t>(parts, parts, 0);
+  std::vector<double> tally(parts, 0.0);
+  for (graph::PartId q = 0; q < p.num_parts; ++q) {
+    std::vector<VertexId> frontier;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (p.part[static_cast<std::size_t>(v)] != q) continue;
+      std::fill(tally.begin(), tally.end(), 0.0);
+      const auto nbrs = g.neighbors(v);
+      const auto weights = g.incident_edge_weights(v);
+      bool boundary = false;
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const graph::PartId o = p.part[static_cast<std::size_t>(nbrs[i])];
+        if (o != q) {
+          tally[static_cast<std::size_t>(o)] += weights[i];
+          boundary = true;
+        }
+      }
+      if (!boundary) continue;
+      const graph::PartId best = oracle_majority_label(tally, v);
+      r.label[static_cast<std::size_t>(v)] = best;
+      r.layer[static_cast<std::size_t>(v)] = 0;
+      if (best >= 0) {
+        ++r.eps(static_cast<std::size_t>(q), static_cast<std::size_t>(best));
+      }
+      frontier.push_back(v);
+    }
+    for (std::int32_t level = 0; !frontier.empty(); ++level) {
+      std::vector<VertexId> next;
+      for (const VertexId u : frontier) {
+        for (const VertexId w : g.neighbors(u)) {
+          if (p.part[static_cast<std::size_t>(w)] != q) continue;
+          if (r.layer[static_cast<std::size_t>(w)] >= 0) continue;
+          r.layer[static_cast<std::size_t>(w)] = level + 1;
+          next.push_back(w);
+        }
+      }
+      std::sort(next.begin(), next.end());
+      for (const VertexId w : next) {
+        std::fill(tally.begin(), tally.end(), 0.0);
+        const auto nbrs = g.neighbors(w);
+        const auto weights = g.incident_edge_weights(w);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+          const auto u = static_cast<std::size_t>(nbrs[i]);
+          if (p.part[u] == q && r.layer[u] == level && r.label[u] >= 0) {
+            tally[static_cast<std::size_t>(r.label[u])] += weights[i];
+          }
+        }
+        const graph::PartId best = oracle_majority_label(tally, w);
+        r.label[static_cast<std::size_t>(w)] = best;
+        if (best >= 0) {
+          ++r.eps(static_cast<std::size_t>(q),
+                  static_cast<std::size_t>(best));
+        }
+      }
+      frontier.swap(next);
+    }
+  }
+  return r;
+}
+
+TEST(Layering, ThreeWayTieWalksLabelsInAscendingId) {
+  // Gadget k: centre 4k+3 in partition 0 and leaves 4k, 4k+1, 4k+2 in
+  // partitions 3, 2, 1 — the centre meets its neighbours' labels in
+  // descending id order, and all three tie.  Its label must be the
+  // (mix(centre) % 3)-th of {1, 2, 3} in ascending order.
+  constexpr int kGadgets = 12;
+  GraphBuilder b(4 * kGadgets);
+  Partitioning p;
+  p.num_parts = 4;
+  p.part.resize(4 * kGadgets);
+  for (int k = 0; k < kGadgets; ++k) {
+    const VertexId centre = 4 * k + 3;
+    p.part[static_cast<std::size_t>(centre)] = 0;
+    for (int i = 0; i < 3; ++i) {
+      p.part[static_cast<std::size_t>(4 * k + i)] = 3 - i;
+      b.add_edge(centre, 4 * k + i);
+    }
+  }
+  const Graph g = b.build();
+  const LayeringResult r = layer_partitions(g, p);
+  const graph::PartitionState state(g, p);
+  const LayeringResult from = layer_partitions_from(g, p, state);
+
+  std::set<std::uint64_t> positions;
+  for (int k = 0; k < kGadgets; ++k) {
+    const VertexId centre = 4 * k + 3;
+    const std::uint64_t pos =
+        oracle_mix(static_cast<std::uint64_t>(centre)) % 3;
+    positions.insert(pos);
+    const auto expected = static_cast<graph::PartId>(1 + pos);
+    EXPECT_EQ(r.label[static_cast<std::size_t>(centre)], expected)
+        << "centre " << centre;
+    EXPECT_EQ(from.label[static_cast<std::size_t>(centre)], expected)
+        << "centre " << centre;
+  }
+  // The gadget ids exercise every tie position.
+  EXPECT_EQ(positions.size(), 3U);
+}
+
+TEST(Layering, RandomGraphsMatchDenseOracle) {
+  // Unit weights make ties common; a tenth of the edges weigh zero, so some
+  // labels are reached only through weightless edges and some vertices
+  // stay unlabeled.  Blocked partitions with random flips give layers
+  // several levels deep.
+  for (const graph::PartId parts : {2, 7, 32}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SplitMix64 rng(seed * 131 + static_cast<std::uint64_t>(parts));
+      const auto n = static_cast<VertexId>(40 + rng.next_below(160));
+      GraphBuilder b(n);
+      std::set<std::pair<VertexId, VertexId>> edges;
+      const auto add = [&](VertexId u, VertexId v) {
+        if (u == v) return;
+        if (!edges.insert({std::min(u, v), std::max(u, v)}).second) return;
+        b.add_edge(u, v, rng.next_below(10) == 0 ? 0.0 : 1.0);
+      };
+      for (VertexId v = 0; v < n; ++v) {
+        for (VertexId d = 1; d <= 3; ++d) {
+          if (v + d < n && rng.next_below(3) != 0) add(v, v + d);
+        }
+        if (rng.next_below(4) == 0) {
+          add(v, static_cast<VertexId>(rng.next_below(
+                     static_cast<std::uint64_t>(n))));
+        }
+      }
+      const Graph g = b.build();
+      Partitioning p;
+      p.num_parts = parts;
+      p.part.resize(static_cast<std::size_t>(n));
+      for (VertexId v = 0; v < n; ++v) {
+        graph::PartId q = static_cast<graph::PartId>(
+            static_cast<std::int64_t>(v) * parts / n);
+        if (rng.next_below(8) == 0) {
+          q = static_cast<graph::PartId>(
+              rng.next_below(static_cast<std::uint64_t>(parts)));
+        }
+        p.part[static_cast<std::size_t>(v)] = q;
+      }
+
+      const LayeringResult want = oracle_layering(g, p);
+      const LayeringResult batch = layer_partitions(g, p);
+      const graph::PartitionState state(g, p);
+      const LayeringResult from = layer_partitions_from(g, p, state);
+      SCOPED_TRACE(::testing::Message()
+                   << "parts " << parts << " seed " << seed);
+      EXPECT_EQ(batch.label, want.label);
+      EXPECT_EQ(batch.layer, want.layer);
+      EXPECT_EQ(batch.eps, want.eps);
+      EXPECT_EQ(from.label, want.label);
+      EXPECT_EQ(from.layer, want.layer);
+      EXPECT_EQ(from.eps, want.eps);
+    }
   }
 }
 
