@@ -70,8 +70,9 @@ struct SessionConfig {
   /// Backend registry key: "igp", "igpr", "multilevel", "spmd", "scratch",
   /// or any name registered through BackendRegistry.
   std::string backend = "igpr";
-  /// Simplex implementation for the balance and refinement LPs.
-  core::LpSolverKind solver = core::LpSolverKind::dense;
+  /// Simplex implementation for the balance and refinement LPs: the
+  /// bounded-variable solver by default; `dense` is the paper's solver.
+  core::LpSolverKind solver = core::LpSolverKind::bounded;
   /// Worker threads for assignment, layering, and LP pivoting.
   int num_threads = 1;
 

@@ -46,7 +46,7 @@ struct BalanceOptions {
   int max_stages = 12;
   /// |W(q) − target_q| ≤ tolerance counts as balanced.
   double tolerance = 0.5;
-  LpSolverKind solver = LpSolverKind::dense;
+  LpSolverKind solver = LpSolverKind::bounded;
   lp::SimplexOptions simplex;
   int num_threads = 1;
   /// Initial depth cap for the boundary-seeded layering (state-driven

@@ -40,7 +40,7 @@ struct RefineOptions {
   /// Undo a round that made the cut worse (batch moves can interact) and
   /// stop.
   bool revert_on_regression = true;
-  LpSolverKind solver = LpSolverKind::dense;
+  LpSolverKind solver = LpSolverKind::bounded;
   lp::SimplexOptions simplex;
   int num_threads = 1;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "core/layering.hpp"
@@ -15,6 +16,18 @@ namespace {
 using graph::PartId;
 using graph::VertexId;
 using net::Packet;
+
+/// A handshake packet whose length does not fit this rank's part count:
+/// the ranks run with different P, which no retry can fix.
+[[noreturn]] void throw_part_count_mismatch(const std::string& what,
+                                            std::size_t got,
+                                            std::size_t expected) {
+  throw net::TransportError(what + " holds " + std::to_string(got) +
+                                " entries, expected " +
+                                std::to_string(expected) +
+                                ": the ranks disagree on the part count",
+                            net::FaultClass::fatal);
+}
 
 /// This rank's handshake offer: (exhausted flag, owned ε rows packed in
 /// owned order through the \p eps_rows scratch).
@@ -182,6 +195,14 @@ SpmdStage spmd_settle_stage(net::Transport& transport,
         const bool rank_exhausted = p.unpack<int>() != 0;
         all_exhausted = all_exhausted && rank_exhausted;
         const std::vector<std::int64_t> rows = p.unpack_vector<std::int64_t>();
+        std::size_t rank_parts = 0;
+        for (PartId q = 0; q < static_cast<PartId>(parts); ++q) {
+          if (graph::shard_owner(q, transport.num_ranks()) == r) ++rank_parts;
+        }
+        if (rows.size() != rank_parts * parts) {
+          throw_part_count_mismatch("eps rows from rank " + std::to_string(r),
+                                    rows.size(), rank_parts * parts);
+        }
         const std::int64_t* next_row = rows.data();
         for (PartId q = 0; q < static_cast<PartId>(parts); ++q) {
           if (graph::shard_owner(q, transport.num_ranks()) != r) continue;
@@ -207,7 +228,14 @@ SpmdStage spmd_settle_stage(net::Transport& transport,
       continue;
     }
     stage.progress = received.unpack<int>() != 0;
-    if (stage.progress) moves = received.unpack_vector<std::int64_t>();
+    if (stage.progress) {
+      moves = received.unpack_vector<std::int64_t>();
+      if (moves.size() != parts * parts) {
+        throw_part_count_mismatch(
+            "move matrix on rank " + std::to_string(transport.rank()),
+            moves.size(), parts * parts);
+      }
+    }
     return stage;
   }
 }

@@ -106,24 +106,24 @@ class Packet {
   void pack(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(sizeof(T) <= 0xFF);
-    data_.push_back(static_cast<std::uint8_t>(WireTag::kScalar));
-    data_.push_back(static_cast<std::uint8_t>(sizeof(T)));
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-    data_.insert(data_.end(), bytes, bytes + sizeof(T));
+    std::uint8_t* out = grow(2 + sizeof(T));
+    out[0] = static_cast<std::uint8_t>(WireTag::kScalar);
+    out[1] = static_cast<std::uint8_t>(sizeof(T));
+    std::memcpy(out + 2, &value, sizeof(T));
   }
 
   template <typename T>
   void pack_vector(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(sizeof(T) <= 0xFF);
-    data_.push_back(static_cast<std::uint8_t>(WireTag::kVector));
-    data_.push_back(static_cast<std::uint8_t>(sizeof(T)));
     const auto count = static_cast<std::uint64_t>(values.size());
-    const auto* count_bytes = reinterpret_cast<const std::uint8_t*>(&count);
-    data_.insert(data_.end(), count_bytes, count_bytes + sizeof(count));
-    if (values.empty()) return;  // data() may be null for empty vectors
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
-    data_.insert(data_.end(), bytes, bytes + sizeof(T) * values.size());
+    const std::size_t payload = sizeof(T) * values.size();
+    std::uint8_t* out = grow(2 + sizeof(count) + payload);
+    out[0] = static_cast<std::uint8_t>(WireTag::kVector);
+    out[1] = static_cast<std::uint8_t>(sizeof(T));
+    std::memcpy(out + 2, &count, sizeof(count));
+    if (payload == 0) return;  // data() may be null for empty vectors
+    std::memcpy(out + 2 + sizeof(count), values.data(), payload);
   }
 
   template <typename T>
@@ -174,6 +174,15 @@ class Packet {
   }
 
  private:
+  /// Extend the buffer by \p n bytes in one step and return the first new
+  /// byte, for the caller to fill.  The offset is read back from the
+  /// resized buffer: computed before the resize, GCC 12 loses track of the
+  /// reallocation and reports a false -Wstringop-overflow.
+  std::uint8_t* grow(std::size_t n) {
+    data_.resize(data_.size() + n);
+    return data_.data() + (data_.size() - n);
+  }
+
   void need(std::size_t n, const char* what) const {
     if (cursor_ + n > data_.size()) {
       throw TransportError(std::string("packet underrun reading ") + what);

@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/igp.hpp"
+#include "core/transfer.hpp"
+#include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "graph/partition_state.hpp"
+#include "graph/shard.hpp"
 #include "mesh/paper_meshes.hpp"
 #include "spectral/partitioners.hpp"
 
@@ -108,6 +115,97 @@ TEST(SpmdIgp, MachineIsReusable) {
         << "step " << step;
     current = result.partitioning;
   }
+}
+
+/// One rank's side of a balance stage run with its own part count: an
+/// imbalanced contiguous partitioning of a small geometric graph, layering
+/// seeded for \p owned, the stage handshake, then the engine's selection
+/// over the settled move matrix.
+void settle_with_parts(net::Transport& t, graph::PartId parts,
+                       const std::vector<graph::PartId>& owned) {
+  const Graph g = graph::random_geometric_graph(400, 0.1, 7);
+  const Partitioning p =
+      graph::contiguous_partitioning(g.num_vertices(), parts, 1.0);
+  graph::PartitionState state(g, p);
+  BoundaryLayering layering(g, p);
+  layering.reseed(state, 1, &owned);
+  std::vector<double> excess(static_cast<std::size_t>(parts), 0.0);
+  (void)compute_excess(
+      state.weights(),
+      graph::balance_targets(g.total_vertex_weight(), parts), excess);
+  std::vector<std::int64_t> eps_rows;
+  std::vector<std::int64_t> moves;
+  const SpmdStage stage = spmd_settle_stage(t, layering, owned, excess,
+                                            BalanceOptions{}, eps_rows, moves);
+  if (!stage.progress) return;
+  for (const graph::PartId q : owned) {
+    (void)select_partition_transfers(
+        g, p, layering.label(), layering.layer(), layering.labeled(q), q,
+        moves.data() + static_cast<std::size_t>(q) * p.num_parts);
+  }
+}
+
+std::vector<graph::PartId> round_robin_owned(graph::PartId parts, int rank) {
+  std::vector<graph::PartId> owned;
+  for (graph::PartId q = 0; q < parts; ++q) {
+    if (graph::shard_owner(q, 2) == rank) owned.push_back(q);
+  }
+  return owned;
+}
+
+TEST(SpmdIgp, PartCountMismatchFailsTypedOnRankZero) {
+  // Rank 0 runs P = 6, rank 1 P = 8: rank 1's 4 owned rows of 8 do not fit
+  // the 3 rows of 6 rank 0 expects from it.  Rank 0 must refuse the packet
+  // with a fatal TransportError naming both counts, instead of deciding
+  // moves rank 1 would read as an 8x8 matrix.
+  net::TcpOptions options;
+  options.recv_timeout_ms = 5000;
+  bool rank0_fatal = false;
+  std::string rank0_message;
+  EXPECT_THROW(
+      net::run_tcp_loopback(
+          2, options,
+          [&](net::Transport& t) {
+            const graph::PartId parts = t.rank() == 0 ? 6 : 8;
+            try {
+              settle_with_parts(t, parts, round_robin_owned(parts, t.rank()));
+            } catch (const net::TransportError& e) {
+              if (t.rank() == 0) {
+                rank0_fatal = !e.retryable();
+                rank0_message = e.what();
+              }
+              throw;
+            }
+          }),
+      net::TransportError);
+  EXPECT_TRUE(rank0_fatal);
+  EXPECT_NE(rank0_message.find("32"), std::string::npos) << rank0_message;
+  EXPECT_NE(rank0_message.find("18"), std::string::npos) << rank0_message;
+}
+
+TEST(SpmdIgp, PartCountMismatchFailsTypedOnReceivers) {
+  // Rank 1 runs P = 9 but offers only 2 rows, so its 18 eps entries pass
+  // rank 0's length check for P = 6.  The 6x6 move matrix rank 0 then
+  // broadcasts must be refused by rank 1, which expects 9x9.
+  net::TcpOptions options;
+  options.recv_timeout_ms = 5000;
+  bool rank1_fatal = false;
+  EXPECT_THROW(net::run_tcp_loopback(
+                   2, options,
+                   [&](net::Transport& t) {
+                     try {
+                       if (t.rank() == 0) {
+                         settle_with_parts(t, 6, round_robin_owned(6, 0));
+                       } else {
+                         settle_with_parts(t, 9, {1, 3});
+                       }
+                     } catch (const net::TransportError& e) {
+                       if (t.rank() == 1) rank1_fatal = !e.retryable();
+                       throw;
+                     }
+                   }),
+               net::TransportError);
+  EXPECT_TRUE(rank1_fatal);
 }
 
 }  // namespace
